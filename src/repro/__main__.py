@@ -63,6 +63,19 @@ def _open_universe(key: str, write):
         return None
 
 
+def _let_bindings(bindings: List[str], write) -> Optional[dict]:
+    """``--let NAME=TYPE`` flags as a name -> type-name dict, or
+    ``None`` after printing the usage error for a malformed one."""
+    scope = {}
+    for binding in bindings:
+        if "=" not in binding:
+            write("bad --let {!r}; expected NAME=TYPE".format(binding))
+            return None
+        name, _, type_name = binding.partition("=")
+        scope[name.strip()] = type_name.strip()
+    return scope
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -519,37 +532,24 @@ def _run_complete(args: argparse.Namespace, write) -> int:
     workspace = _open_universe(args.universe, write)
     if workspace is None:
         return EXIT_USAGE
-    session = CompletionSession(workspace, n=args.n)
-    for binding in args.let:
-        if "=" not in binding:
-            write("bad --let {!r}; expected NAME=TYPE".format(binding))
-            return EXIT_USAGE
-        name, _, type_name = binding.partition("=")
-        try:
-            session.declare(name.strip(), type_name.strip())
-        except ValueError as error:
-            write("error: {}".format(error))
-            return EXIT_USAGE
+    scope = _let_bindings(args.let, write)
+    if scope is None:
+        return EXIT_USAGE
     try:
-        if args.this:
-            session.set_this(args.this)
-        if args.expect:
-            session.set_expected(args.expect)
+        session = CompletionSession(
+            workspace, locals=scope, this=args.this or None, n=args.n,
+            expected=args.expect or None, keyword=args.keyword,
+            timeout_ms=args.timeout_ms, max_steps=args.budget,
+            trace=args.trace is not None)
     except ValueError as error:
         write("error: {}".format(error))
         return EXIT_USAGE
-    session.keyword = args.keyword
-    if args.timeout_ms is not None:
-        if args.timeout_ms <= 0:
-            write("error: --timeout-ms must be positive")
-            return EXIT_USAGE
-        session.timeout_ms = args.timeout_ms
-    if args.budget is not None:
-        if args.budget <= 0:
-            write("error: --budget must be positive")
-            return EXIT_USAGE
-        session.step_budget = args.budget
-    session.trace = args.trace is not None
+    if args.timeout_ms is not None and args.timeout_ms <= 0:
+        write("error: --timeout-ms must be positive")
+        return EXIT_USAGE
+    if args.budget is not None and args.budget <= 0:
+        write("error: --budget must be positive")
+        return EXIT_USAGE
     # one or many queries: a single batch, so indexes warm once and the
     # queries share the engine's cross-query cache
     records = session.complete_many(args.queries)
@@ -638,28 +638,24 @@ def _run_lint(args: argparse.Namespace, write) -> int:
     diagnostics = workspace.lint(sanitize=args.sanitize)
 
     if args.query is not None:
-        session = CompletionSession(workspace)
-        for binding in args.let:
-            if "=" not in binding:
-                write("bad --let {!r}; expected NAME=TYPE".format(binding))
-                return EXIT_USAGE
-            name, _, type_name = binding.partition("=")
+        scope = _let_bindings(args.let, write)
+        if scope is None:
+            return EXIT_USAGE
+        # an unknown --let type is a query-scope finding, not a usage
+        # abort: report each one as RA021 alongside the rest
+        for name, type_name in list(scope.items()):
             try:
-                session.declare(name.strip(), type_name.strip())
+                scope[name] = workspace.resolve_type(type_name)
             except ValueError as error:
-                # an unknown --let type is a query-scope finding, not a
-                # usage abort: report it as RA021 alongside the rest
-                diagnostics.append(diag(
-                    "RA021", str(error), location=name.strip()))
+                del scope[name]
+                diagnostics.append(diag("RA021", str(error), location=name))
         try:
-            if args.this:
-                session.set_this(args.this)
-            if args.expect:
-                session.set_expected(args.expect)
+            session = CompletionSession(
+                workspace, locals=scope, this=args.this or None,
+                expected=args.expect or None, keyword=args.keyword)
         except ValueError as error:
             diagnostics.append(diag("RA021", str(error), location="scope"))
         if not any(d.code == "RA021" for d in diagnostics):
-            session.keyword = args.keyword
             report = session.analyze(args.query)
             diagnostics.extend(report.diagnostics)
         diagnostics = sort_diagnostics(diagnostics)
@@ -1078,16 +1074,17 @@ def _run_serve(args: argparse.Namespace, write) -> int:  # pragma: no cover
     pool = EnginePool(universes)
     for pack_path in args.packs or ():
         from .errors import PackError
-        from .pack import load_pack
 
         try:
-            workspace = load_pack(pack_path)
+            tenant = pool.mount_pack(pack_path)
         except PackError as error:
             write("error [{}]: {}".format(error.code, error))
             return exit_code_for(error.code)
-        pool.add_workspace(workspace.name, workspace)
+        except ValueError as error:
+            write("error: {}".format(error))
+            return EXIT_USAGE
         write("mounted pack {} as workspace {!r}".format(
-            pack_path, workspace.name))
+            pack_path, tenant.name))
     server = CompletionServer(
         pool=pool,
         host=args.host,
@@ -1242,7 +1239,7 @@ def _run_loadtest(args: argparse.Namespace, write) -> int:
 
 
 def _run_profile(args: argparse.Namespace, write) -> int:
-    from .obs import Profile, profile_run_log, read_run_log
+    from .obs import profile_run_log, read_run_log
 
     if args.from_log is not None:
         try:
@@ -1265,13 +1262,11 @@ def _run_profile(args: argparse.Namespace, write) -> int:
         workspace = _open_universe(args.universe, write)
         if workspace is None:
             return EXIT_USAGE
-        session = battery.session(workspace, n=args.n)
-        session.trace = True
-        records = session.complete_many(battery.queries)
-        profile = Profile()
-        for record in records:
-            if record.trace is not None:
-                profile.add_trace(record.trace)
+        from . import api
+
+        profile = api.profile(workspace, battery.queries,
+                              locals=battery.locals, this=battery.this_type,
+                              n=args.n)
         write("profile of the {!r} battery ({} queries)".format(
             workspace.name, len(battery.queries)))
     for line in profile.render(limit=args.limit):

@@ -17,6 +17,21 @@ observability).  Deeper modules (``repro.engine``, ``repro.obs``, …)
 remain importable but are internal layering; new code should depend on
 this surface.
 
+Every query function passes its scope keywords unchanged to the
+:class:`CompletionSession` constructor, the one place a scope is built:
+
+* ``locals`` (name → type) and ``this`` — the query's scope;
+* ``n`` — result-list size (default 10);
+* ``expected`` — required result type (``"void"`` allowed);
+* ``keyword`` — keep only methods whose name contains it;
+* ``timeout_ms`` / ``max_steps`` — per-query deadline and step budget
+  (a tripped budget returns the best-so-far prefix);
+* ``trace`` — record the span tree in ``QueryRecord.trace``;
+* ``abstypes`` — abstract-type oracle for the ranking.
+
+A type is a name (an unknown or ambiguous one raises ``ValueError``)
+or a :class:`TypeDef`.
+
 Quickstart::
 
     from repro import open_workspace, complete, explain
@@ -35,7 +50,7 @@ Quickstart::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from .analysis.abstract_types import AbstractTypeAnalysis
 from .analysis.deps import (
@@ -145,10 +160,6 @@ from .obs import (
     validate_trace_text,
 )
 
-#: accepted ``locals`` values: resolved types or names to resolve
-_TypeRef = Union[str, TypeDef]
-
-
 def _sniff_format(path: str) -> Optional[str]:
     """The ``"format"`` value of a JSON artifact file, read from its
     first few KB (works for both one-document files and the two-line
@@ -170,7 +181,6 @@ def open_workspace(
     cache_enabled: Optional[bool] = None,
     *,
     expect_fingerprint: Optional[str] = None,
-    universe: Union[str, TypeSystem, None] = None,
 ) -> Workspace:
     """The one constructor: a :class:`Workspace` from any universe
     source.
@@ -187,16 +197,8 @@ def open_workspace(
 
     ``expect_fingerprint`` pins the universe content hash: the call
     raises :class:`~repro.errors.PackStaleError` when the opened
-    universe's :meth:`~TypeSystem.fingerprint` disagrees.  The
-    ``universe=`` keyword is the deprecated name for ``source``.
+    universe's :meth:`~TypeSystem.fingerprint` disagrees.
     """
-    if universe is not None:
-        from .deprecation import warn_deprecated
-
-        warn_deprecated("open_workspace(universe=...)",
-                        "open_workspace(source)")
-        if source is None:
-            source = universe
     if source is None:
         raise TypeError("open_workspace() needs a source: a builtin key, "
                         "a TypeSystem, or an artifact path")
@@ -289,50 +291,18 @@ def load_pack(
                       expect_fingerprint=expect_fingerprint)
 
 
-def _session(
-    workspace: Workspace,
-    locals: Optional[Dict[str, _TypeRef]] = None,
-    this: Optional[_TypeRef] = None,
-    n: int = 10,
-    expected: Optional[str] = None,
-    keyword: Optional[str] = None,
-    timeout_ms: Optional[float] = None,
-    max_steps: Optional[int] = None,
-    trace: bool = False,
-) -> CompletionSession:
-    session = CompletionSession(workspace, n=n)
-    for name, type_ref in (locals or {}).items():
-        if isinstance(type_ref, str):
-            session.declare(name, type_ref)
-        else:
-            session.locals[name] = type_ref
-    if this is not None:
-        if isinstance(this, str):
-            session.set_this(this)
-        else:
-            session.this_type = this
-    if expected is not None:
-        session.set_expected(expected)
-    session.keyword = keyword
-    session.timeout_ms = timeout_ms
-    session.step_budget = max_steps
-    session.trace = trace
-    return session
-
-
 def complete(
     workspace: Workspace, source: str, **scope
 ) -> QueryRecord:
     """Parse and complete one partial expression.
 
-    ``scope`` keywords: ``locals`` (name → type name or
-    :class:`TypeDef`), ``this``, ``n``, ``expected``, ``keyword``,
-    ``timeout_ms``, ``max_steps``, ``trace``.  Returns the session's
+    ``scope`` is the :class:`CompletionSession` constructor's keywords
+    (see the module docstring).  Returns the session's
     :class:`QueryRecord` (ranked suggestions plus status / timing /
     trace metadata); repeated calls against one workspace share its
     engine's warm indexes and cross-query cache.
     """
-    return _session(workspace, **scope).complete(source)
+    return CompletionSession(workspace, **scope).complete(source)
 
 
 def complete_many(
@@ -344,7 +314,7 @@ def complete_many(
     """Complete a batch of partial expressions under one shared scope
     (same keywords as :func:`complete`); indexes warm once and the
     queries share the cross-query cache."""
-    session = _session(workspace, **scope)
+    session = CompletionSession(workspace, **scope)
     return session.complete_many(sources, parallelism=parallelism)
 
 
@@ -358,7 +328,8 @@ def explain(
     :func:`complete`): the top completions, each carrying a
     :class:`ScoreBreakdown` whose per-term contributions sum exactly to
     its score.  ``rank`` narrows the list to one 1-based entry."""
-    return _session(workspace, **scope).explain(rank=rank, source=source)
+    return CompletionSession(workspace, **scope).explain(rank=rank,
+                                                        source=source)
 
 
 def lint(
@@ -373,7 +344,7 @@ def lint(
     ``scope`` (same keywords as :func:`complete`)."""
     diagnostics = workspace.lint(sanitize=sanitize)
     if query is not None:
-        report = _session(workspace, **scope).analyze(query)
+        report = CompletionSession(workspace, **scope).analyze(query)
         diagnostics = diagnostics + list(report.diagnostics)
     return diagnostics
 
@@ -445,27 +416,21 @@ def serve(
     ``packs`` mounts additional tenants from pack artifacts
     (:mod:`repro.pack`): each path is verified and restored without an
     index rebuild, served under its recorded universe name — the
-    millisecond warm-up path for large universes.  ``slo`` is an
+    millisecond warm-up path for large universes; a name already served
+    raises ``ValueError``.  ``slo`` is an
     objective spec (``"p95_ms=50:error_rate=0.01"``) the server tracks
     live in ``/v1/healthz``; ``fault_plan`` (a
     :class:`~repro.serve.chaos.ChaosSpec` source) mounts
     chaos-through-serve.  Imported lazily — the serving layer pulls in
     the corpus layer."""
-    from .serve import start_in_thread
+    from .serve import EnginePool, start_in_thread
 
-    pool = None
-    if packs:
-        from .pack import load_pack as _load_pack
-        from .serve.pool import EnginePool
-
-        pool = EnginePool(universes)
-        for pack_path in packs:
-            workspace = _load_pack(pack_path)
-            pool.add_workspace(workspace.name, workspace)
+    pool = EnginePool(universes)
+    for pack_path in packs or ():
+        pool.mount_pack(pack_path)
     return start_in_thread(
-        universes, host=host, port=port,
-        default_deadline_ms=default_deadline_ms, run_log_dir=run_log_dir,
-        pool=pool, slo=slo, fault_plan=fault_plan,
+        host=host, port=port, default_deadline_ms=default_deadline_ms,
+        run_log_dir=run_log_dir, pool=pool, slo=slo, fault_plan=fault_plan,
     )
 
 
@@ -535,8 +500,7 @@ def profile(
     counter rollups; same keywords as :func:`complete`).  Use
     ``Profile.to_collapsed()`` for flamegraph text or
     ``Profile.render()`` for a table (docs/OBSERVABILITY.md)."""
-    scope["trace"] = True
-    session = _session(workspace, **scope)
+    session = CompletionSession(workspace, **dict(scope, trace=True))
     result = Profile()
     for record in session.complete_many(sources):
         if record.trace is not None:

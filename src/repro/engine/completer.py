@@ -47,7 +47,6 @@ from typing import (
 )
 
 from ..analysis.scope import Context
-from ..deprecation import warn_deprecated
 from ..obs.attribution import ScoreBreakdown
 from ..obs.metrics import DEFAULT_BOUNDS, Metrics
 from ..obs.runlog import RunLog
@@ -155,8 +154,7 @@ class Completion(NamedTuple):
 
 
 class QueryStatus(enum.Enum):
-    """How a query concluded — the one field consolidating the legacy
-    ``QueryOutcome.truncated`` / ``.unsatisfiable`` flags.
+    """How a query concluded.
 
     ``OK`` also covers an empty-but-complete answer; the three
     truncation members carry the same wire values the budget layer uses
@@ -203,10 +201,6 @@ class QueryOutcome:
     were neutralised during ranking (see :class:`Ranker`).  ``trace``
     is the exported span list when the query ran with tracing on
     (``None`` otherwise; see ``docs/OBSERVABILITY.md``).
-
-    The pre-facade spellings — ``.truncated``, ``.unsatisfiable``,
-    ``.preflight`` — remain as read-only properties that emit a
-    ``DeprecationWarning``.
     """
 
     def __init__(
@@ -230,25 +224,6 @@ class QueryOutcome:
         #: cache (``steps`` is then the cost of the replay: usually 0)
         self.cached = cached
         self.trace = trace
-
-    # -- deprecated spellings (the facade consolidated these) ----------
-    @property
-    def truncated(self) -> Optional[str]:
-        warn_deprecated("QueryOutcome.truncated",
-                        "QueryOutcome.status.truncation")
-        return self.status.truncation
-
-    @property
-    def unsatisfiable(self) -> bool:
-        warn_deprecated("QueryOutcome.unsatisfiable",
-                        "QueryOutcome.status is QueryStatus.UNSATISFIABLE")
-        return self.status is QueryStatus.UNSATISFIABLE
-
-    @property
-    def preflight(self) -> Optional[object]:
-        warn_deprecated("QueryOutcome.preflight",
-                        "QueryOutcome.preflight_report")
-        return self.preflight_report
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QueryOutcome):

@@ -34,13 +34,9 @@ class Battery:
         self, workspace: Optional[Workspace] = None, n: int = 10
     ) -> CompletionSession:
         """A session over the battery's universe with its scope declared."""
-        workspace = workspace or Workspace.builtin(self.universe)
-        session = CompletionSession(workspace, n=n)
-        for name, type_name in self.locals.items():
-            session.declare(name, type_name)
-        if self.this_type is not None:
-            session.set_this(self.this_type)
-        return session
+        return CompletionSession(
+            workspace or Workspace.builtin(self.universe),
+            locals=self.locals, this=self.this_type, n=n)
 
 
 BATTERIES: Dict[str, Battery] = {

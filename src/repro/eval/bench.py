@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.scope import Context
 from ..engine.completer import CompletionEngine, CompletionRequest, EngineConfig
+from ..ide.session import CompletionSession
 from ..ide.workspace import Workspace
 from ..lang.parser import parse
 from ..obs.diff import PhaseDelta, top_phase_delta
@@ -104,14 +105,8 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 
 def _workload_context(workspace: Workspace, spec: Dict[str, Any]) -> Context:
-    locals_map = {
-        name: workspace.resolve_type(type_name)
-        for name, type_name in spec["locals"].items()
-    }
-    this_type = (
-        workspace.resolve_type(spec["this"]) if spec.get("this") else None
-    )
-    return workspace.context(locals=locals_map, this_type=this_type)
+    return CompletionSession(workspace, locals=spec["locals"],
+                             this=spec.get("this") or None).context()
 
 
 def _time_queries(

@@ -218,7 +218,7 @@ def _enter(state: "_ReplState", method_name: str, write) -> None:
     state.session = CompletionSession(
         workspace,
         locals=dict(context.locals),
-        this_type=context.this_type,
+        this=context.this_type,
         n=state.session.n,
         abstypes=workspace.oracle_for(impl),
     )

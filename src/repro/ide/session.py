@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Union
 
 from ..analysis.scope import Context
 from ..codemodel.types import TypeDef
-from ..deprecation import warn_deprecated
-from ..engine.budget import CancellationToken, QueryBudget
-from ..engine.completer import Completion, QueryStatus
+from ..engine.budget import CancellationToken
+from ..engine.completer import Completion, CompletionRequest, QueryStatus
 from ..engine.ranking import AbstractTypeOracle
 from ..obs.trace import Tracer
 from ..lang.ast import Expr, Unfilled
@@ -25,6 +24,9 @@ from ..lang.parser import ParseError, parse
 from ..lang.partial import Hole
 from ..lang.printer import to_source
 from .workspace import Workspace
+
+#: a type-valued scope keyword: a type name to resolve, or the type
+TypeRef = Union[str, TypeDef]
 
 
 @dataclass
@@ -93,61 +95,71 @@ def holes_for_unfilled(expr: Expr) -> Expr:
 
 
 class CompletionSession:
-    """Query loop state over a workspace."""
+    """Query loop state over a workspace.
+
+    The constructor is the one place a query scope is built; its
+    keywords are documented in :mod:`repro.api`.
+    """
 
     def __init__(
         self,
         workspace: Workspace,
-        locals: Optional[Dict[str, TypeDef]] = None,
-        this_type: Optional[TypeDef] = None,
+        locals: Optional[Dict[str, TypeRef]] = None,
+        this: Optional[TypeRef] = None,
         n: int = 10,
+        expected: Optional[TypeRef] = None,
+        keyword: Optional[str] = None,
+        timeout_ms: Optional[float] = None,
+        max_steps: Optional[int] = None,
+        trace: bool = False,
         abstypes: Optional[AbstractTypeOracle] = None,
     ) -> None:
         self.workspace = workspace
-        self.locals: Dict[str, TypeDef] = dict(locals or {})
-        self.this_type = this_type
+        self.locals: Dict[str, TypeDef] = {}
+        for name, type_ref in (locals or {}).items():
+            self.declare(name, type_ref)
+        self.set_this(this)
+        self.set_expected(expected)
         self.n = n
         self.abstypes = abstypes
-        self.keyword: Optional[str] = None
-        self.expected_type: Optional[TypeDef] = None
+        self.keyword = keyword
         self.history: List[QueryRecord] = []
         #: per-query wall-clock deadline (None = unlimited)
-        self.timeout_ms: Optional[float] = None
+        self.timeout_ms = timeout_ms
         #: per-query expansion-step budget (None = unlimited)
-        self.step_budget: Optional[int] = None
+        self.step_budget = max_steps
         #: cooperative cancellation shared by subsequent queries
         self.cancellation: Optional[CancellationToken] = None
         #: why the last :meth:`auto_complete` run stopped
         self.auto_status: Optional[AutoCompleteStatus] = None
         #: trace every query this session runs (the REPL's ``:trace``);
         #: exported spans land in ``QueryRecord.trace``
-        self.trace: bool = False
+        self.trace = trace
 
     # ------------------------------------------------------------------
     # scope manipulation
     # ------------------------------------------------------------------
-    def declare(self, name: str, type_name: str) -> TypeDef:
+    def _resolve(self, type_ref: TypeRef) -> TypeDef:
+        if isinstance(type_ref, TypeDef):
+            return type_ref
+        return self.workspace.resolve_type(type_ref)
+
+    def declare(self, name: str, type_ref: TypeRef) -> TypeDef:
         """``:let name Type`` — add a local to the scope."""
-        typedef = self.workspace.resolve_type(type_name)
+        typedef = self._resolve(type_ref)
         self.locals[name] = typedef
         return typedef
 
-    def set_this(self, type_name: Optional[str]) -> Optional[TypeDef]:
-        if type_name is None:
-            self.this_type = None
-            return None
-        self.this_type = self.workspace.resolve_type(type_name)
+    def set_this(self, type_ref: Optional[TypeRef]) -> Optional[TypeDef]:
+        self.this_type = None if type_ref is None else self._resolve(type_ref)
         return self.this_type
 
-    def set_expected(self, type_name: Optional[str]) -> Optional[TypeDef]:
+    def set_expected(self, type_ref: Optional[TypeRef]) -> Optional[TypeDef]:
         """Constrain results to a type (``void`` allowed), or clear."""
-        if type_name is None:
-            self.expected_type = None
-            return None
-        if type_name == "void":
-            self.expected_type = self.workspace.ts.void_type
-        else:
-            self.expected_type = self.workspace.resolve_type(type_name)
+        if type_ref == "void":
+            type_ref = self.workspace.ts.void_type
+        self.expected_type = (None if type_ref is None
+                              else self._resolve(type_ref))
         return self.expected_type
 
     def context(self) -> Context:
@@ -158,18 +170,13 @@ class CompletionSession:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _make_budget(self) -> Optional[QueryBudget]:
-        if (
-            self.timeout_ms is None
-            and self.step_budget is None
-            and self.cancellation is None
-        ):
-            return None
-        return QueryBudget(
-            deadline_ms=self.timeout_ms,
-            max_steps=self.step_budget,
-            token=self.cancellation,
-        )
+    def _request(self, pe: Expr, context: Context) -> CompletionRequest:
+        """The engine request for one parsed query under this scope."""
+        return CompletionRequest(
+            pe=pe, context=context, n=self.n, abstypes=self.abstypes,
+            expected_type=self.expected_type, keyword=self.keyword,
+            timeout_ms=self.timeout_ms, max_steps=self.step_budget,
+            token=self.cancellation, trace=self.trace or None)
 
     def _log_parse_failure(self, record: QueryRecord) -> None:
         """Parse failures never reach the engine, so its run log would
@@ -227,17 +234,12 @@ class CompletionSession:
             abstypes=self.abstypes,
             expected_type=self.expected_type,
             keyword=self.keyword,
-            budget=self._make_budget(),
+            budget=self._request(pe, context).make_budget(),
             tracer=tracer,
         )
         self._fill_record(record, outcome)
         self.history.append(record)
         return record
-
-    def query(self, source: str) -> QueryRecord:
-        """Deprecated alias for :meth:`complete`."""
-        warn_deprecated("CompletionSession.query", "CompletionSession.complete")
-        return self.complete(source)
 
     def explain(
         self, rank: Optional[int] = None, source: Optional[str] = None
@@ -265,7 +267,7 @@ class CompletionSession:
             abstypes=self.abstypes,
             expected_type=self.expected_type,
             keyword=self.keyword,
-            budget=self._make_budget(),
+            budget=self._request(pe, context).make_budget(),
         )
 
     def complete_many(
@@ -277,8 +279,6 @@ class CompletionSession:
         ``parallelism > 1``, a thread pool).  Records are appended to the
         history in input order; parse failures consume no engine time.
         """
-        from ..engine.completer import CompletionRequest
-
         context = self.context()
         records = [QueryRecord(source=source) for source in sources]
         requests: List[CompletionRequest] = []
@@ -290,18 +290,7 @@ class CompletionSession:
                 record.error = str(error)
                 self._log_parse_failure(record)
                 continue
-            requests.append(CompletionRequest(
-                pe=pe,
-                context=context,
-                n=self.n,
-                abstypes=self.abstypes,
-                expected_type=self.expected_type,
-                keyword=self.keyword,
-                timeout_ms=self.timeout_ms,
-                max_steps=self.step_budget,
-                token=self.cancellation,
-                trace=self.trace or None,
-            ))
+            requests.append(self._request(pe, context))
             targets.append(record)
         outcomes = self.workspace.engine.complete_many(
             requests, parallelism=parallelism
@@ -310,14 +299,6 @@ class CompletionSession:
             self._fill_record(record, outcome)
         self.history.extend(records)
         return records
-
-    def query_many(
-        self, sources: List[str], parallelism: int = 1
-    ) -> List[QueryRecord]:
-        """Deprecated alias for :meth:`complete_many`."""
-        warn_deprecated("CompletionSession.query_many",
-                        "CompletionSession.complete_many")
-        return self.complete_many(sources, parallelism=parallelism)
 
     def analyze(self, source: str):
         """Pre-flight a query without running it (the REPL's ``:lint``).

@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
 from .codemodel.typesystem import TypeSystem
@@ -177,6 +179,8 @@ def build_pack(workspace: Workspace, path: str) -> Dict[str, Any]:
 
     The body bytes are deterministic for a given universe — no
     timestamps — so identical universes produce identical checksums.
+    The write is atomic: a failure midway leaves any previous pack at
+    ``path`` untouched.
     """
     body = _encode_body(workspace)
     body_bytes = json.dumps(
@@ -197,10 +201,21 @@ def build_pack(workspace: Workspace, path: str) -> Dict[str, Any]:
             "max_depth": body["max_depth"],
         },
     }
-    with open(path, "wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        handle.write(b"\n")
-        handle.write(body_bytes)
+    # all-or-nothing: write a temp file beside ``path`` and rename it
+    # over the old pack, so a crash mid-write never leaves a torn file
+    temp = "{}.{}.tmp".format(path, uuid.uuid4().hex[:12])
+    try:
+        with open(temp, "xb") as handle:
+            handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+            handle.write(b"\n")
+            handle.write(body_bytes)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.unlink(temp)
+        raise
     return header
 
 

@@ -157,28 +157,22 @@ class Tenant:
     # ------------------------------------------------------------------
     # query execution (tenant thread)
     # ------------------------------------------------------------------
-    def _session(self, request: CompletionRequestBody) -> CompletionSession:
-        session = CompletionSession(self.workspace, n=request.n)
+    def _session(self, request: CompletionRequestBody,
+                 timeout_ms: Optional[float] = None) -> CompletionSession:
         try:
-            for name, type_name in request.locals.items():
-                session.declare(name, type_name)
-            if request.this is not None:
-                session.set_this(request.this)
-            if request.expected is not None:
-                session.set_expected(request.expected)
+            return CompletionSession(
+                self.workspace, locals=request.locals, this=request.this,
+                n=request.n, expected=request.expected,
+                keyword=request.keyword, timeout_ms=timeout_ms,
+                max_steps=request.max_steps, trace=request.trace)
         except ValueError as error:
             raise ProtocolError(protocol.BAD_REQUEST, str(error))
-        session.keyword = request.keyword
-        if request.max_steps is not None:
-            session.step_budget = request.max_steps
-        if request.trace:
-            session.trace = True
-        return session
 
     def _run(self, request: CompletionRequestBody,
              admitted: float) -> List[QueryRecord]:
         """Execute on the tenant thread: re-check the deadline (the
         queue may have eaten it), give the engine what remains, run."""
+        remaining = None
         if request.deadline_ms is not None:
             remaining = request.deadline_ms - (
                 (time.monotonic() - admitted) * 1000.0)
@@ -187,9 +181,7 @@ class Tenant:
                     protocol.DEADLINE_EXCEEDED,
                     "deadline of {:.0f} ms expired in the queue".format(
                         request.deadline_ms))
-        session = self._session(request)
-        if request.deadline_ms is not None:
-            session.timeout_ms = remaining
+        session = self._session(request, timeout_ms=remaining)
         plan = self.chaos.next_plan() if self.chaos is not None else None
         previous = faults.install_local(plan) if plan is not None else None
         try:
@@ -271,11 +263,25 @@ class EnginePool:
 
     def add_workspace(self, name: str, workspace: Workspace) -> Tenant:
         """Serve an already-built workspace under ``name`` (how tests
-        and embedders mount custom universes)."""
+        and embedders mount custom universes); a name already served
+        raises ``ValueError``."""
+        if name in self.tenants:
+            raise ValueError(
+                "workspace name {!r} is already served; two universes "
+                "cannot share one name".format(name))
         tenant = Tenant(name, workspace)
         tenant.set_chaos(self.chaos_spec)
         self.tenants[name] = tenant
         return tenant
+
+    def mount_pack(self, path: str) -> Tenant:
+        """Serve a pack artifact under its recorded universe name;
+        raises :class:`~repro.errors.PackError` for a bad pack and
+        ``ValueError`` when that name is already served."""
+        from ..pack import load_pack
+
+        workspace = load_pack(path)
+        return self.add_workspace(workspace.name, workspace)
 
     def set_chaos(
         self,

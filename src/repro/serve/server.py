@@ -170,7 +170,18 @@ class CompletionServer:
             self._connections.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ProtocolError as error:
+                    # a head we cannot frame a body from: answer, then
+                    # close — the stream position is unknown
+                    status, payload = self._error(error.code, str(error))
+                    self.metrics.record(counters={
+                        "http_requests": 1,
+                        "http_status_{}".format(status): 1})
+                    await self._write_response(writer, status, payload,
+                                               keep_alive=False)
+                    break
                 if request is None:
                     break
                 method, path, body, keep_alive = request
@@ -211,7 +222,8 @@ class CompletionServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes, bool]]:
-        """One HTTP/1.1 request head + body; None on clean EOF."""
+        """One HTTP/1.1 request head + body; None on clean EOF.  A
+        malformed ``Content-Length`` raises :class:`ProtocolError`."""
         try:
             head = await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"), timeout=READ_TIMEOUT_S)
@@ -229,7 +241,13 @@ class CompletionServer:
             if ":" in line:
                 key, _, value = line.partition(":")
                 headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise ProtocolError(
+                protocol.BAD_REQUEST,
+                "Content-Length must be a non-negative integer, got "
+                "{!r}".format(declared))
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             return None
         body = b""

@@ -54,7 +54,7 @@ class TestMutationBetweenWarmAndBatch:
     def test_field_added_after_warm_is_visible_to_the_batch(self, warm_paint):
         workspace, context, document = warm_paint
         # prime: warm indexes AND populate the cross-query cache
-        workspace.complete_many(_requests(workspace, context, QUERIES))
+        workspace.engine.complete_many(_requests(workspace, context, QUERIES))
         assert _cached_entries(workspace) > 0
 
         # the mutation lands between warm() and the next batch
@@ -63,7 +63,7 @@ class TestMutationBetweenWarmAndBatch:
         document.add_field(Field("zzAddedBetween", workspace.ts.string_type))
         assert workspace.ts.version > version
 
-        outcomes = workspace.complete_many(
+        outcomes = workspace.engine.complete_many(
             _requests(workspace, context, ["img.?f"], n=50))
         texts = {c.expr.member.name if hasattr(c.expr, "member") else ""
                  for c in outcomes[0].completions}
@@ -73,14 +73,14 @@ class TestMutationBetweenWarmAndBatch:
         from repro.engine.completer import CompletionEngine
 
         workspace, context, document = warm_paint
-        workspace.complete_many(_requests(workspace, context, QUERIES))
+        workspace.engine.complete_many(_requests(workspace, context, QUERIES))
         workspace.engine.warm()
         document.add_method(Method(
             "zzMutM", return_type=workspace.ts.string_type,
             params=[Parameter("x", workspace.ts.string_type)]))
         document.set_member_order(fields=list(reversed(document.fields)))
 
-        warm_outcomes = workspace.complete_many(
+        warm_outcomes = workspace.engine.complete_many(
             _requests(workspace, context, QUERIES))
         cold_engine = CompletionEngine(
             workspace.ts, EngineConfig(enable_cache=False))
@@ -91,10 +91,11 @@ class TestMutationBetweenWarmAndBatch:
 
     def test_mutation_clears_cache_and_counts_invalidation(self, warm_paint):
         workspace, context, document = warm_paint
-        workspace.complete_many(_requests(workspace, context, QUERIES))
+        workspace.engine.complete_many(_requests(workspace, context, QUERIES))
         assert _cached_entries(workspace) > 0
         document.add_field(Field("zzBump", workspace.ts.string_type))
-        workspace.complete_many(_requests(workspace, context, ["img.?f"]))
+        workspace.engine.complete_many(
+            _requests(workspace, context, ["img.?f"]))
         stats = workspace.cache_stats()
         assert stats["invalidations"] >= 1
 
@@ -102,13 +103,13 @@ class TestMutationBetweenWarmAndBatch:
 class TestFineInvalidation:
     def test_unrelated_field_edit_preserves_most_entries(self, warm_paint):
         workspace, context, document = warm_paint
-        workspace.complete_many(_requests(workspace, context, QUERIES))
+        workspace.engine.complete_many(_requests(workspace, context, QUERIES))
         assert _cached_entries(workspace) > 0
 
         unrelated = workspace.ts.get("PaintDotNet.HistoryStack")
         unrelated.add_field(Field("zzElsewhere", workspace.ts.string_type))
 
-        workspace.complete_many(_requests(workspace, context, QUERIES))
+        workspace.engine.complete_many(_requests(workspace, context, QUERIES))
         stats = workspace.cache_stats()
         assert stats["invalidations_fine"] == 1
         assert stats["invalidations_coarse"] == 0
@@ -118,13 +119,13 @@ class TestFineInvalidation:
 
     def test_unrelated_edit_keeps_streams_warm(self, warm_paint):
         workspace, context, document = warm_paint
-        workspace.complete_many(_requests(workspace, context, QUERIES))
+        workspace.engine.complete_many(_requests(workspace, context, QUERIES))
         before = workspace.cache_stats()
 
         unrelated = workspace.ts.get("PaintDotNet.HistoryStack")
         unrelated.add_field(Field("zzWarm", workspace.ts.string_type))
 
-        workspace.complete_many(_requests(workspace, context, QUERIES))
+        workspace.engine.complete_many(_requests(workspace, context, QUERIES))
         stats = workspace.cache_stats()
         # the replayed batch hits the preserved entries instead of
         # recomputing them from scratch
@@ -134,9 +135,10 @@ class TestFineInvalidation:
         from repro.codemodel.types import TypeDef
 
         workspace, context, document = warm_paint
-        workspace.complete_many(_requests(workspace, context, QUERIES))
+        workspace.engine.complete_many(_requests(workspace, context, QUERIES))
         workspace.ts.register(TypeDef("zzLate", "PaintDotNet"))
-        workspace.complete_many(_requests(workspace, context, ["img.?f"]))
+        workspace.engine.complete_many(
+            _requests(workspace, context, ["img.?f"]))
         stats = workspace.cache_stats()
         assert stats["invalidations_coarse"] == 1
         assert stats["invalidations_fine"] == 0
@@ -145,14 +147,14 @@ class TestFineInvalidation:
         workspace, context, document = warm_paint
         # a bare hole populates the global root pool, grouped by
         # declaring type
-        workspace.complete_many(_requests(workspace, context, ["?"]))
+        workspace.engine.complete_many(_requests(workspace, context, ["?"]))
         before = workspace.cache_stats()
         assert before["root_pool_groups"] > 1
 
         unrelated = workspace.ts.get("PaintDotNet.HistoryStack")
         unrelated.add_field(Field("zzRoots", workspace.ts.string_type))
 
-        workspace.complete_many(_requests(workspace, context, ["?"]))
+        workspace.engine.complete_many(_requests(workspace, context, ["?"]))
         stats = workspace.cache_stats()
         assert stats["invalidations_fine"] == 1
         # the pool itself survived (served warm), only the edited
@@ -165,9 +167,10 @@ class TestFineInvalidation:
             "paint", config=EngineConfig(fine_invalidation=False))
         document = workspace.ts.get("PaintDotNet.Document")
         context = workspace.context(locals={"img": document})
-        workspace.complete_many(_requests(workspace, context, QUERIES))
+        workspace.engine.complete_many(_requests(workspace, context, QUERIES))
         document.add_field(Field("zzCoarse", workspace.ts.string_type))
-        workspace.complete_many(_requests(workspace, context, ["img.?f"]))
+        workspace.engine.complete_many(
+            _requests(workspace, context, ["img.?f"]))
         stats = workspace.cache_stats()
         assert stats["invalidations_coarse"] == 1
         assert stats["invalidations_fine"] == 0
@@ -219,7 +222,7 @@ class TestWarmFineMatchesColdEngine:
         first, second = rng.sample(types, 2)
         context = workspace.context(locals={"a": first, "b": second})
         requests = _requests(workspace, context, self.SOURCES)
-        workspace.complete_many(requests)
+        workspace.engine.complete_many(requests)
 
         for index in range(3):
             target = rng.choice(types)
@@ -236,7 +239,7 @@ class TestWarmFineMatchesColdEngine:
                 target.set_member_order(
                     methods=list(reversed(target.methods)))
 
-        warm_outcomes = workspace.complete_many(
+        warm_outcomes = workspace.engine.complete_many(
             _requests(workspace, context, self.SOURCES))
         cold_engine = CompletionEngine(ts, EngineConfig(enable_cache=False))
         for source, warm_outcome in zip(self.SOURCES, warm_outcomes):

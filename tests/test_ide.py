@@ -47,6 +47,33 @@ class TestWorkspace:
         assert workspace.impls()
 
 
+class TestSessionConstructor:
+    def test_scope_keywords_take_names_or_types(self):
+        workspace = Workspace.builtin("paint")
+        document = workspace.resolve_type("PaintDotNet.Document")
+        session = CompletionSession(
+            workspace, locals={"img": document, "size": "Size"},
+            this="Document", n=3, expected="void", keyword="Get",
+            timeout_ms=50.0, max_steps=1000, trace=True)
+        assert session.locals == {
+            "img": document,
+            "size": workspace.resolve_type("System.Drawing.Size")}
+        assert session.this_type is document
+        assert session.expected_type is workspace.ts.void_type
+        assert (session.n, session.keyword) == (3, "Get")
+        assert (session.timeout_ms, session.step_budget) == (50.0, 1000)
+        assert session.trace is True
+
+    @pytest.mark.parametrize("scope", [
+        {"locals": {"img": "Flux.Capacitor"}},
+        {"this": "Flux.Capacitor"},
+        {"expected": "Flux.Capacitor"},
+    ])
+    def test_unknown_type_name_raises(self, scope):
+        with pytest.raises(ValueError, match="unknown type"):
+            CompletionSession(Workspace.builtin("paint"), **scope)
+
+
 class TestSession:
     @pytest.fixture
     def session(self):
@@ -57,53 +84,53 @@ class TestSession:
         return session
 
     def test_query_returns_ranked_suggestions(self, session):
-        record = session.query("?({img, size})")
+        record = session.complete("?({img, size})")
         assert record.error is None
         assert record.suggestions[0].rank == 1
         assert "ResizeDocument" in record.suggestions[0].text
 
     def test_parse_error_is_captured(self, session):
-        record = session.query("img @@@")
+        record = session.complete("img @@@")
         assert record.error is not None
         assert record.suggestions == []
 
     def test_history_accumulates(self, session):
-        session.query("?({img})")
-        session.query("img.?m")
+        session.complete("?({img})")
+        session.complete("img.?m")
         assert len(session.history) == 2
         assert session.last().source == "img.?m"
 
     def test_accept_turns_zeros_into_holes(self, session):
-        session.query("?({img, size})")
+        session.complete("?({img, size})")
         refined = session.accept(1)
         assert refined is not None
         assert "0" not in refined
         assert "?" in refined
         # the refined source must itself be a valid query
-        record = session.query(refined)
+        record = session.complete(refined)
         assert record.error is None
         assert record.suggestions
 
     def test_accept_out_of_range(self, session):
-        session.query("?({img})")
+        session.complete("?({img})")
         assert session.accept(999) is None
 
     def test_accept_with_empty_history(self, session):
         assert session.accept(1) is None
 
     def test_accept_nonpositive_rank(self, session):
-        session.query("?({img})")
+        session.complete("?({img})")
         assert session.accept(0) is None
         assert session.accept(-3) is None
 
     def test_accept_after_errored_query(self, session):
-        session.query("?({img})")
-        session.query("img @@@")  # the *last* query has no suggestions
+        session.complete("?({img})")
+        session.complete("img @@@")  # the *last* query has no suggestions
         assert session.accept(1) is None
 
     def test_expected_type_filter(self, session):
         session.set_expected("Document")
-        record = session.query("?({img, size})")
+        record = session.complete("?({img, size})")
         workspace = session.workspace
         doc = workspace.resolve_type("Document")
         for suggestion in record.suggestions:
@@ -111,7 +138,7 @@ class TestSession:
 
     def test_keyword_filter(self, session):
         session.keyword = "resize"
-        record = session.query("?({img, size})")
+        record = session.complete("?({img, size})")
         assert record.suggestions
         assert all("Resize" in s.text for s in record.suggestions)
 
@@ -130,7 +157,7 @@ class TestAutoComplete:
         assert final is not None
         assert "0" not in final and "?" not in final
         # the final text is itself parseable and complete
-        record = session.query(final)
+        record = session.complete(final)
         assert record.error is None
 
     def test_already_concrete_query(self, session):

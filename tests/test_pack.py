@@ -17,7 +17,9 @@ Four guarantees pinned here:
   table's exit code;
 * **Unified constructor** — :func:`repro.api.open_workspace` opens
   builtin keys, universe documents, project documents, and packs
-  through one signature, and the old scattered constructors warn.
+  through one signature;
+* **Atomic writes** — a pack write that fails midway leaves the
+  previous artifact at the path intact and no temporary file behind.
 """
 
 import hashlib
@@ -215,6 +217,51 @@ class TestIntegrity:
         assert header["meta"]["name"] == "geometry"
 
 
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_old_pack(self, tmp_path, monkeypatch):
+        import repro.pack as pack_module
+
+        path = str(tmp_path / "bcl.pack")
+        build_pack("bcl", path)
+        with open(path, "rb") as handle:
+            before = handle.read()
+
+        class TornFile:
+            """A file whose second write (the body) fails: the header
+            is already on disk when the write breaks."""
+
+            def __init__(self, handle):
+                self.handle = handle
+                self.writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError("disk full")
+                return self.handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+        monkeypatch.setattr(pack_module, "open",
+                            lambda *a, **k: TornFile(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            build_pack("geometry", path)
+        monkeypatch.undo()
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        verify_pack(path)
+        assert load_pack(path).name == "mini-bcl"
+        assert os.listdir(str(tmp_path)) == ["bcl.pack"]
+
+
 class TestErrorTable:
     def test_pack_codes_registered_once(self):
         assert ERROR_TABLE["pack_corrupt"] == (422, 2)
@@ -293,22 +340,6 @@ class TestOpenWorkspace:
     def test_no_source_is_a_type_error(self):
         with pytest.raises(TypeError):
             open_workspace()
-
-    def test_universe_keyword_warns_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            workspace = open_workspace(universe="geometry")
-        assert workspace.name == "geometry"
-        assert any("open_workspace(universe=...)" in str(w.message)
-                   for w in caught)
-
-    def test_deprecated_classmethods_warn_and_still_work(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            workspace = Workspace.paintdotnet()
-        assert workspace.name == "paintdotnet"
-        assert any("Workspace.paintdotnet()" in str(w.message)
-                   for w in caught)
 
     def test_builtin_path_does_not_warn(self):
         with warnings.catch_warnings():
@@ -394,6 +425,35 @@ class TestServeFromPack:
                 assert body["suggestions"]
         finally:
             handle.stop()
+
+    @pytest.fixture()
+    def same_named_packs(self, tmp_path):
+        """Two packs of different universes built from bare type
+        systems, so both record the default name ``workspace``."""
+        paths = []
+        for key in ("geometry", "bcl"):
+            path = str(tmp_path / "{}.pack".format(key))
+            build_pack(Workspace.builtin(key).ts, path)
+            paths.append(path)
+        return paths
+
+    def test_serve_refuses_duplicate_pack_names(self, same_named_packs):
+        from repro.api import serve
+
+        with pytest.raises(ValueError, match="'workspace' is already served"):
+            serve(universes=(), port=0, packs=same_named_packs)
+
+    def test_cli_serve_duplicate_pack_names_is_usage_error(
+            self, same_named_packs):
+        from repro.__main__ import main
+
+        argv = ["serve", "--universes", "bcl", "--port", "0"]
+        for path in same_named_packs:
+            argv += ["--pack", path]
+        lines = []
+        assert main(argv, write=lines.append) == exit_code_for("bad_request")
+        assert lines[0].startswith("mounted pack ")
+        assert "'workspace' is already served" in lines[-1]
 
     def test_coldstart_bench_section_shape(self, tmp_path):
         from repro.eval.bench import _coldstart_workloads

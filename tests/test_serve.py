@@ -15,6 +15,8 @@ Three guarantees pinned here:
 
 import http.client
 import json
+import logging
+import socket
 import threading
 import time
 
@@ -157,6 +159,31 @@ class TestErrorShapes:
             self._assert_error(response.status, body, protocol.BAD_REQUEST)
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_a_400(self, handle, caplog, length):
+        metrics = handle.server.metrics
+        before = metrics.counter("http_status_400")
+        request = ("POST /v1/complete HTTP/1.1\r\nHost: test\r\n"
+                   "Content-Length: {}\r\n\r\n".format(length))
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(
+                    ("127.0.0.1", handle.port), timeout=10) as sock:
+                sock.sendall(request.encode())
+                raw = b""
+                # the server answers, then closes: read to EOF
+                while True:
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), raw
+        assert b"Connection: close" in head
+        self._assert_error(400, json.loads(body), protocol.BAD_REQUEST)
+        assert metrics.counter("http_status_400") == before + 1
+        assert not [record for record in caplog.records
+                    if "Unhandled exception" in record.getMessage()]
 
     def test_body_missing_query(self, client):
         status, body = client.request(
