@@ -58,6 +58,7 @@ class TypeDef:
     __slots__ = (
         "name",
         "namespace",
+        "full_name",
         "kind",
         "_base",
         "_interfaces",
@@ -82,6 +83,11 @@ class TypeDef:
     ) -> None:
         self.name = name
         self.namespace = namespace
+        #: the namespace-qualified name used for registry lookups and
+        #: every name-keyed memo; built once (names never change after
+        #: construction)
+        self.full_name = (
+            "{}.{}".format(namespace, name) if namespace else name)
         self.kind = kind
         self._base = base
         self._interfaces: Tuple[TypeDef, ...] = tuple(interfaces)
@@ -121,13 +127,6 @@ class TypeDef:
     # ------------------------------------------------------------------
     # identity
     # ------------------------------------------------------------------
-    @property
-    def full_name(self) -> str:
-        """The namespace-qualified name used for registry lookups."""
-        if self.namespace:
-            return "{}.{}".format(self.namespace, self.name)
-        return self.name
-
     @property
     def namespace_parts(self) -> Tuple[str, ...]:
         """The namespace as a tuple of segments (empty for the global ns)."""

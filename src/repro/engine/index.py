@@ -259,7 +259,9 @@ class ReachabilityIndex:
         self.max_depth = max_depth
         self.built_version = ts.version
         self._cache: Dict[Tuple[str, bool], Dict[str, int]] = {}
-        self._target_cache: Dict[Tuple[str, str, bool], Optional[int]] = {}
+        #: per-walk ``_target_map``, built on the walk's first target
+        #: query and dropped together with the walk
+        self._targets: Dict[Tuple[str, bool], Dict[str, int]] = {}
         #: per-walk footprint: every type whose member list fed the BFS
         #: (the reached types plus their supertype closures — lookups and
         #: zero-arg methods are inherited, so an edit anywhere up the
@@ -270,7 +272,7 @@ class ReachabilityIndex:
         #: a pack load never pays for walks no query asks about
         self._packed: Dict[Tuple[str, bool], Tuple[str, str]] = {}
         self._pack_strings: List[str] = []
-        #: memo hit/miss counters for ``steps_to_target`` (bench reporting)
+        #: ``steps_to_target`` target-map hits vs. maps built (misses)
         self.hits = 0
         self.misses = 0
         #: refreshes that dropped only the walks a mutation could touch
@@ -333,18 +335,17 @@ class ReachabilityIndex:
         self.built_version = self.ts.version
         if mutated is None:
             self._cache.clear()
-            self._target_cache.clear()
+            self._targets.clear()
             self._walk_fp.clear()
             self._packed.clear()
             self.rebuilds += 1
             return
-        dropped = set()
         for key in list(self._cache):
             fp = self._walk_fp.get(key)
             if fp is None or fp & mutated:
                 del self._cache[key]
                 self._walk_fp.pop(key, None)
-                dropped.add(key)
+                self._targets.pop(key, None)
         if self._packed:
             # packed walks carry their footprint in encoded form; decode
             # just the footprint to apply the same intersection test
@@ -354,11 +355,6 @@ class ReachabilityIndex:
                 fp_ids = fp_csv.split(",") if fp_csv else []
                 if any(strings[int(x)] in mutated for x in fp_ids):
                     del self._packed[key]
-                    dropped.add(key)
-        if dropped:
-            for tkey in list(self._target_cache):
-                if (tkey[0], tkey[2]) in dropped:
-                    del self._target_cache[tkey]
         self.patches += 1
 
     def reachable(
@@ -387,14 +383,22 @@ class ReachabilityIndex:
                         next_frontier.append(step_type)
             frontier = next_frontier
         self._cache[key] = distances
-        footprint = set(distances)
-        for name in distances:
-            reached = self.ts.try_get(name)
-            if reached is not None:
-                for holder in self.ts.supertype_closure(reached):
-                    footprint.add(holder.full_name)
-        self._walk_fp[key] = frozenset(footprint)
+        self._walk_fp[key] = frozenset(distances).union(
+            self._target_map(distances))
         return distances
+
+    def _target_map(self, distances: Dict[str, int]) -> Dict[str, int]:
+        """Every type a reached type converts to -> the fewest steps
+        reaching it (the explicit minimum makes it walk-order free)."""
+        targets: Dict[str, int] = {}
+        for name, steps in distances.items():
+            reached = self.ts.try_get(name)
+            if reached is None:
+                continue
+            for holder in self.ts.supertype_closure(reached):
+                if steps < targets.get(holder.full_name, steps + 1):
+                    targets[holder.full_name] = steps
+        return targets
 
     def _step_types(self, typedef: TypeDef, allow_methods: bool) -> List[TypeDef]:
         types: List[TypeDef] = []
@@ -423,20 +427,15 @@ class ReachabilityIndex:
         if budget is not None:
             budget.tick()
         self.refresh()
-        key = (source.full_name, target.full_name, allow_methods)
-        if key in self._target_cache:
+        key = (source.full_name, allow_methods)
+        targets = self._targets.get(key)
+        if targets is not None:
             self.hits += 1
-            return self._target_cache[key]
+            return targets.get(target.full_name)
         self.misses += 1
-        best: Optional[int] = None
-        for name, steps in self.reachable(source, allow_methods).items():
-            if best is not None and steps >= best:
-                continue
-            reached = self.ts.try_get(name)
-            if reached is not None and self.ts.implicitly_converts(reached, target):
-                best = steps
-        self._target_cache[key] = best
-        return best
+        targets = self._targets[key] = self._target_map(
+            self.reachable(source, allow_methods))
+        return targets.get(target.full_name)
 
     def can_reach(
         self,
@@ -453,11 +452,12 @@ class ReachabilityIndex:
         return steps is not None and steps <= within
 
     def stats(self) -> Dict[str, float]:
-        """Memo shape and hit rate of the target queries."""
+        """Memo shape and hit rate of the target queries (``targets``:
+        walks with a target map; ``misses``: target maps built)."""
         total = self.hits + self.misses
         return {
             "sources": float(len(self._cache)),
-            "targets": float(len(self._target_cache)),
+            "targets": float(len(self._targets)),
             "hits": float(self.hits),
             "misses": float(self.misses),
             "hit_rate": self.hits / total if total else 0.0,

@@ -201,15 +201,17 @@ class Materialized(Generic[T]):
             index += 1
 
 
-class SharedStream(Generic[T]):
+class SharedStream(Materialized[T]):
     """A :class:`Materialized` that many queries (and threads) can replay.
 
     The cross-query cache (:mod:`repro.engine.cache`) hands the same
     ``SharedStream`` to every query asking for the same sub-stream: the
     prefix pulled so far is replayed from memory, and only pulls past the
-    known prefix advance the shared underlying iterator.  Pulling is
+    known prefix advance the shared underlying iterator.  Those pulls are
     serialised by a re-entrant lock — a generator being advanced from two
-    batch-sharded threads at once would corrupt its frame.  Lock nesting
+    batch-sharded threads at once would corrupt its frame — while replay
+    of the append-only prefix takes no lock (``list.append`` is atomic
+    under the GIL).  Lock nesting
     follows strict subexpression containment (a stream only ever pulls
     streams of its own subexpressions), so ordering is acyclic and
     deadlock-free.
@@ -220,14 +222,15 @@ class SharedStream(Generic[T]):
     """
 
     def __init__(self, stream: Iterable[Scored]) -> None:
-        self._iterator = iter(stream)
-        self._items: List[Scored] = []
-        self._exhausted = False
+        super().__init__(stream)
         self._error: Optional[BaseException] = None
         self._lock = threading.RLock()
 
     def get(self, index: int) -> Optional[Scored]:
         """Item at ``index``, or ``None`` when the stream is shorter."""
+        items = self._items
+        if index < len(items):
+            return items[index]
         with self._lock:
             while not self._exhausted and len(self._items) <= index:
                 if self._error is not None:
@@ -245,25 +248,11 @@ class SharedStream(Generic[T]):
                 return self._items[index]
             return None
 
-    def known_length(self) -> int:
-        """Items pulled so far (a lower bound on the true length)."""
-        with self._lock:
-            return len(self._items)
-
     @property
     def broken(self) -> bool:
         """Did the underlying iterator raise?  (Broken streams are evicted
         from the cross-query cache rather than replayed.)"""
         return self._error is not None
-
-    def __iter__(self) -> ScoredIter:
-        index = 0
-        while True:
-            item = self.get(index)
-            if item is None:
-                return
-            yield item
-            index += 1
 
 
 @_monotone

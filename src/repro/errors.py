@@ -79,6 +79,7 @@ register_error_code("bad_request", 400, 2)
 register_error_code("unknown_workspace", 404, 2)
 register_error_code("not_found", 404, 2)
 register_error_code("method_not_allowed", 405, 2)
+register_error_code("payload_too_large", 413, 2)
 register_error_code("parse_error", 422, 1)
 register_error_code("shed", 429, 2)
 register_error_code("deadline_exceeded", 504, 3)

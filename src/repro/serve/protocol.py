@@ -37,6 +37,8 @@ UNKNOWN_WORKSPACE = "unknown_workspace"
 #: no route for the path/method
 NOT_FOUND = "not_found"
 METHOD_NOT_ALLOWED = "method_not_allowed"
+#: a declared request body over the server's size cap
+PAYLOAD_TOO_LARGE = "payload_too_large"
 #: the query text did not parse
 PARSE_ERROR = "parse_error"
 #: admission control refused the request: the tenant's queue would

@@ -208,8 +208,8 @@ class CompletionServer:
                 if not keep_alive or self._draining:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError,
-                asyncio.TimeoutError):
-            pass
+                asyncio.TimeoutError, asyncio.CancelledError):
+            pass  # incl. stop()'s cancel: end quietly, not as an error
         finally:
             if task is not None:
                 self._connections.discard(task)
@@ -222,8 +222,9 @@ class CompletionServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes, bool]]:
-        """One HTTP/1.1 request head + body; None on clean EOF.  A
-        malformed ``Content-Length`` raises :class:`ProtocolError`."""
+        """One HTTP/1.1 request head + body; None on clean EOF.  A bad
+        request line or a malformed or oversized ``Content-Length``
+        raises :class:`ProtocolError`."""
         try:
             head = await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"), timeout=READ_TIMEOUT_S)
@@ -234,7 +235,9 @@ class CompletionServer:
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
-            return None
+            raise ProtocolError(
+                protocol.BAD_REQUEST,
+                "malformed request line {!r}".format(lines[0][:80]))
         method, path, _version = parts
         headers: Dict[str, str] = {}
         for line in lines[1:]:
@@ -249,7 +252,10 @@ class CompletionServer:
                 "{!r}".format(declared))
         length = int(declared)
         if length > MAX_BODY_BYTES:
-            return None
+            raise ProtocolError(
+                protocol.PAYLOAD_TOO_LARGE,
+                "body of {} bytes exceeds the {}-byte limit".format(
+                    length, MAX_BODY_BYTES))
         body = b""
         if length:
             body = await asyncio.wait_for(
@@ -269,7 +275,8 @@ class CompletionServer:
             body = json.dumps(payload, sort_keys=True).encode()
             content_type = "application/json"
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 422: "Unprocessable Entity",
+                  405: "Method Not Allowed", 413: "Payload Too Large",
+                  422: "Unprocessable Entity",
                   429: "Too Many Requests", 500: "Internal Server Error",
                   504: "Gateway Timeout"}.get(status, "OK")
         head = (

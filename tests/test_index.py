@@ -217,3 +217,87 @@ class TestIncrementalRefresh:
         dog.add_field(Field("zzBone", ts.string_type))
         reach.refresh()
         assert (dog.full_name, False) not in reach._walk_fp
+
+
+def oracle_steps(ts, walks, source, target, allow_methods):
+    """The per-target scan ``steps_to_target`` replaced: the fewest
+    steps over the walk to a type that implicitly converts to
+    ``target``."""
+    best = None
+    for name, steps in walks.reachable(source, allow_methods).items():
+        reached = ts.try_get(name)
+        if reached is not None and ts.implicitly_converts(reached, target):
+            if best is None or steps < best:
+                best = steps
+    return best
+
+
+def assert_matches_oracle(ts, index):
+    """Every (source, target, allow) pair answers as the old scan does,
+    measured against walks of a fresh index over the same universe."""
+    walks = ReachabilityIndex(ts, max_depth=index.max_depth)
+    types = ts.all_types()
+    for allow in (False, True):
+        for source in types:
+            for target in types:
+                assert index.steps_to_target(source, target, allow) == \
+                    oracle_steps(ts, walks, source, target, allow), (
+                        source.full_name, target.full_name, allow)
+
+
+UNIVERSES = ("paint", "geometry", "bcl")
+
+
+class TestTargetMapDifferential:
+    """``steps_to_target`` is one lookup in a per-walk target map; the
+    answers must equal the per-target scan it replaced."""
+
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    def test_fresh_index(self, universe):
+        from repro.ide.workspace import Workspace
+
+        ts = Workspace.builtin(universe).ts
+        index = ReachabilityIndex(ts)
+        assert_matches_oracle(ts, index)
+        stats = index.stats()
+        # one map per walk, built once; every other call is a hit
+        assert stats["targets"] == stats["misses"] == 2 * len(ts.all_types())
+        assert stats["hits"] == 2 * len(ts.all_types()) ** 2 - stats["misses"]
+
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    def test_patched_index_drops_stale_maps(self, universe):
+        from repro.codemodel.members import Field, Method
+        from repro.ide.workspace import Workspace
+
+        ts = Workspace.builtin(universe).ts
+        index = ReachabilityIndex(ts)
+        assert_matches_oracle(ts, index)
+        types = [t for t in ts.all_types() if not t.is_primitive]
+        # an edit that opens a new one-step route: a field on the
+        # source, and a zero-arg method on another type
+        source, target = next(
+            (s, t) for s in types for t in types
+            if index.steps_to_target(s, t, False) is None)
+        source.add_field(Field("zzNewRoute", target))
+        assert index.steps_to_target(source, target, False) == 1
+        holder, returned = next(
+            (s, t) for s in types for t in types
+            if index.steps_to_target(s, t, True) is None)
+        holder.add_method(Method("ZzNewCall", return_type=returned))
+        assert index.steps_to_target(holder, returned, True) == 1
+        assert index.patches == 2 and index.rebuilds == 0
+        assert (source.full_name, False) not in index._targets
+        assert_matches_oracle(ts, index)
+
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    def test_pack_restored_index(self, universe, tmp_path):
+        from repro.api import build_pack, load_pack
+        from repro.ide.workspace import Workspace
+
+        path = str(tmp_path / "{}.pack".format(universe))
+        build_pack(Workspace.builtin(universe), path)
+        loaded = load_pack(path)
+        index = loaded.engine.reachability
+        assert index._packed and not index._targets
+        assert_matches_oracle(loaded.ts, index)
+        assert index.rebuilds == 0

@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from repro import api
 from repro.api import complete, complete_many, explain, open_workspace
 from repro.eval.battery import battery_for
 from repro.ide.workspace import Workspace
@@ -35,6 +36,7 @@ from repro.serve import (
     protocol,
     start_in_thread,
 )
+from repro.serve.server import MAX_BODY_BYTES
 
 UNIVERSE = "bcl"
 
@@ -59,6 +61,18 @@ def client(handle):
 @pytest.fixture(scope="module")
 def battery():
     return battery_for(UNIVERSE)
+
+
+def raw_exchange(port, request):
+    """Send raw request bytes and read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        raw = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return raw
+            raw += chunk
 
 
 def suggestions_json(suggestions):
@@ -160,30 +174,47 @@ class TestErrorShapes:
         finally:
             connection.close()
 
-    @pytest.mark.parametrize("length", ["abc", "-5"])
-    def test_bad_content_length_is_a_400(self, handle, caplog, length):
+    def _assert_unframeable_answered(self, handle, caplog, request,
+                                     status, code):
+        """A head the server cannot frame a body from is answered with
+        ``code``, counted, and closed — never a silent drop."""
         metrics = handle.server.metrics
-        before = metrics.counter("http_status_400")
-        request = ("POST /v1/complete HTTP/1.1\r\nHost: test\r\n"
-                   "Content-Length: {}\r\n\r\n".format(length))
+        before = metrics.counter("http_status_{}".format(status))
+        requests = metrics.counter("http_requests")
         with caplog.at_level(logging.ERROR, logger="asyncio"):
-            with socket.create_connection(
-                    ("127.0.0.1", handle.port), timeout=10) as sock:
-                sock.sendall(request.encode())
-                raw = b""
-                # the server answers, then closes: read to EOF
-                while True:
-                    chunk = sock.recv(4096)
-                    if not chunk:
-                        break
-                    raw += chunk
+            # the server answers, then closes: raw_exchange reads to EOF
+            raw = raw_exchange(handle.port, request)
         head, _, body = raw.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 400 "), raw
+        assert head.startswith(
+            "HTTP/1.1 {} ".format(status).encode()), raw
         assert b"Connection: close" in head
-        self._assert_error(400, json.loads(body), protocol.BAD_REQUEST)
-        assert metrics.counter("http_status_400") == before + 1
+        self._assert_error(status, json.loads(body), code)
+        assert metrics.counter("http_status_{}".format(status)) == before + 1
+        assert metrics.counter("http_requests") == requests + 1
         assert not [record for record in caplog.records
                     if "Unhandled exception" in record.getMessage()]
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_a_400(self, handle, caplog, length):
+        request = ("POST /v1/complete HTTP/1.1\r\nHost: test\r\n"
+                   "Content-Length: {}\r\n\r\n".format(length))
+        self._assert_unframeable_answered(
+            handle, caplog, request.encode(), 400, protocol.BAD_REQUEST)
+
+    def test_oversized_body_is_a_413(self, handle, caplog):
+        request = ("POST /v1/complete HTTP/1.1\r\nHost: test\r\n"
+                   "Content-Length: {}\r\n\r\n".format(MAX_BODY_BYTES + 1))
+        self._assert_unframeable_answered(
+            handle, caplog, request.encode(), 413,
+            protocol.PAYLOAD_TOO_LARGE)
+        assert protocol.ERROR_CODES[protocol.PAYLOAD_TOO_LARGE] == (413, 2)
+
+    @pytest.mark.parametrize("line", [
+        "GARBAGE", "GET /v1/healthz", "GET /v1/healthz HTTP/1.1 extra"])
+    def test_bad_request_line_is_a_400(self, handle, caplog, line):
+        request = "{}\r\nHost: test\r\n\r\n".format(line)
+        self._assert_unframeable_answered(
+            handle, caplog, request.encode(), 400, protocol.BAD_REQUEST)
 
     def test_body_missing_query(self, client):
         status, body = client.request(
@@ -305,6 +336,26 @@ class TestLifecycle:
         with pytest.raises(OSError):
             with ServeClient(handle.url) as client:
                 client.healthz()
+
+    def test_stop_with_idle_keep_alive_client_is_silent(self, caplog):
+        handle = api.serve(universes=(UNIVERSE,))
+        with caplog.at_level(logging.DEBUG):
+            with socket.create_connection(
+                    ("127.0.0.1", handle.port), timeout=10) as sock:
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n"
+                             b"Connection: keep-alive\r\n\r\n")
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    head += sock.recv(4096)
+                assert head.startswith(b"HTTP/1.1 200 "), head
+                # the connection now idles in its next read; stop()
+                # cancels that read
+                handle.stop()
+        noisy = [record for record in caplog.records
+                 if (record.name == "asyncio"
+                     and record.levelno >= logging.ERROR)
+                 or record.exc_info or "Traceback" in record.getMessage()]
+        assert not noisy, [record.getMessage() for record in noisy]
 
 
 class TestRequestCorrelation:

@@ -1,5 +1,7 @@
 """Tests (incl. property-based) for the score-ordered stream combinators."""
 
+import sys
+import threading
 from itertools import islice
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.engine.streams import (
     Materialized,
+    SharedStream,
     best_first,
     merge,
     merge_nested,
@@ -81,6 +84,60 @@ class TestMaterialized:
         m = Materialized(gen())
         m.get(0)
         assert pulled == [1]
+
+
+class TestSharedStream:
+    def test_concurrent_replay_sees_one_sequence(self):
+        """Four threads replay one stream while others extend it: the
+        known prefix is read without the lock, pulls past it take the
+        lock, and every thread must see the same items in order."""
+        pulled = []
+
+        def gen():
+            for v in range(3000):
+                pulled.append(v)
+                yield (v, "item{}".format(v))
+
+        stream = SharedStream(gen())
+        barrier = threading.Barrier(4)
+        seen = [None] * 4
+
+        def replay(slot):
+            barrier.wait()
+            # stride through the prefix first, then read it all in order
+            for index in range(slot, 3000, 7):
+                stream.get(index)
+            seen[slot] = list(stream)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=replay, args=(slot,))
+                       for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [(v, "item{}".format(v)) for v in range(3000)]
+        assert all(items == expected for items in seen)
+        # the underlying generator was advanced exactly once per item
+        assert pulled == list(range(3000))
+        assert stream.get(3000) is None and stream.known_length() == 3000
+
+    def test_error_is_remembered_past_the_prefix(self):
+        def gen():
+            yield (1, "a")
+            raise RuntimeError("boom")
+
+        stream = SharedStream(gen())
+        with pytest.raises(RuntimeError):
+            stream.get(1)
+        assert stream.get(0) == (1, "a")  # the prefix still replays
+        with pytest.raises(RuntimeError):
+            stream.get(1)
+        assert stream.broken
 
 
 class TestOrderedProduct:

@@ -28,6 +28,10 @@ class TestRegistry:
         assert ts.string_type.full_name == "System.String"
         assert ts.primitive("int").name == "int"
 
+    def test_full_name_is_built_at_construction(self):
+        assert TypeDef("X", "A.B").full_name == "A.B.X"
+        assert TypeDef("Global").full_name == "Global"
+
     def test_register_and_get(self, ts):
         t = ts.register(TypeDef("Foo", "My.Ns"))
         assert ts.get("My.Ns.Foo") is t
